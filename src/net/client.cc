@@ -198,10 +198,15 @@ Result<Frame> Client::ReadFrame(int64_t deadline_micros) {
       Close();
       return Status::IoError("corrupt frame from server: " + error);
     }
-    if (NowMicros() >= deadline_micros) {
+    // Past the deadline the read still runs, with a zero wait: a frame
+    // already sitting unread on the socket is returned, not timed out
+    // (NextPush(0) polls for pending pushes this way).
+    const bool expired = NowMicros() >= deadline_micros;
+    Status status = FillReadBuffer(deadline_micros);
+    if (expired && status.code() == StatusCode::kUnavailable) {
       return Status::Unavailable("timed out waiting for server frame");
     }
-    RETURN_IF_ERROR(FillReadBuffer(deadline_micros));
+    RETURN_IF_ERROR(status);
   }
 }
 

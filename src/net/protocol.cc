@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace streamrel::net {
@@ -116,7 +117,9 @@ Status GetRows(const std::string& data, size_t* offset,
   uint32_t n;
   RETURN_IF_ERROR(GetU32(data, offset, &n));
   rows->clear();
-  rows->reserve(n);
+  // A count is untrusted: every row takes at least its 4-byte header, so
+  // the bytes left bound how many can really follow.
+  rows->reserve(std::min<size_t>(n, (data.size() - *offset) / sizeof(n)));
   for (uint32_t i = 0; i < n; ++i) {
     ASSIGN_OR_RETURN(Row row, DeserializeRow(data, offset));
     rows->push_back(std::move(row));
@@ -225,8 +228,17 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
     memcpy(&arity, body.data() + offset, sizeof(arity));
     offset += sizeof(arity);
     if (r == 0) {
+      // Every cell takes at least its type tag and every later row its
+      // 4-byte header plus `arity` tags, so the bytes left bound both
+      // untrusted counts before anything is allocated for them.
+      const size_t left = body.size() - offset;
+      if (arity > left) {
+        return Status::IoError("truncated row: arity " +
+                               std::to_string(arity));
+      }
       batch = exec::ColumnBatch(arity);
-      batch.Reserve(n_rows);
+      batch.Reserve(std::min<size_t>(
+          n_rows, left / (sizeof(arity) + arity) + 1));
     } else if (arity != batch.num_columns()) {
       return false;  // ragged batch: row path owns the arity diagnostics
     }
@@ -359,7 +371,9 @@ Result<RowSet> DecodeRowSetBody(const std::string& body) {
   uint32_t ncols;
   RETURN_IF_ERROR(GetU32(body, &offset, &ncols));
   std::vector<Column> columns;
-  columns.reserve(ncols);
+  // Each column takes at least a name length and a type byte.
+  columns.reserve(
+      std::min<size_t>(ncols, (body.size() - offset) / (sizeof(ncols) + 1)));
   for (uint32_t i = 0; i < ncols; ++i) {
     Column col;
     RETURN_IF_ERROR(GetString(body, &offset, &col.name));

@@ -6,7 +6,6 @@
 
 #include "common/fault_injector.h"
 #include "common/string_util.h"
-#include "exec/operators.h"
 
 namespace streamrel::stream {
 
@@ -21,14 +20,6 @@ const char* OverloadPolicyName(OverloadPolicy policy) {
   }
   return "?";
 }
-
-namespace {
-/// Rows per shard chunk: large enough that queue traffic is rare, small
-/// enough that absorption overlaps the coordinator's stamping loop.
-constexpr size_t kShardChunkRows = 256;
-/// In-flight chunks per worker before Push blocks (backpressure bound).
-constexpr size_t kShardQueueCapacity = 16;
-}  // namespace
 
 StreamRuntime::StreamRuntime(catalog::Catalog* catalog,
                              storage::TransactionManager* txns,
@@ -113,12 +104,6 @@ Result<ContinuousQuery*> StreamRuntime::CreateCq(const std::string& name,
   RETURN_IF_ERROR(AttachCqSubscription(ptr));
   if (ptr->is_shared()) {
     ptr->shared_aggregator()->BindGovernor(&governor_);
-  }
-  // A CQ created while parallel may have opened a fresh pipeline; give it
-  // the same shard fan-out as the rest of the engine.
-  if (ptr->is_shared() &&
-      ptr->shared_aggregator()->shard_count() != workers_.size()) {
-    RETURN_IF_ERROR(ptr->shared_aggregator()->SetShardCount(workers_.size()));
   }
   ptr->BindMetrics(metrics_.GetCounter("cq", key, "windows_closed"),
                    metrics_.GetCounter("cq", key, "rows_emitted"),
@@ -328,15 +313,6 @@ Status StreamRuntime::IngestLocked(
     RETURN_IF_ERROR(RegisterStream(stream));
     state = GetState(stream);
   }
-  // Lock order (DESIGN decision 11): shard fleet before any stream lock.
-  // The worker fleet and its replica pipelines are shared engine-wide, so
-  // parallel ingest batches take turns on the shard lock; at the default
-  // PARALLELISM 1 there is no fleet and disjoint streams only contend on
-  // their own ingest locks. A nested re-entry (a delivery callback
-  // ingesting into another stream) already holds the shard lock and must
-  // not retake it "fresh" below the stream rank it also holds.
-  const bool take_shard = !workers_.empty() && !shard_mu_.held_by_me();
-  if (take_shard) shard_mu_.lock();
   Status status;
   std::vector<PendingQuarantine> flush_batch;
   {
@@ -349,8 +325,7 @@ Status StreamRuntime::IngestLocked(
       state->pending_quarantine.clear();
     }
   }
-  if (take_shard) shard_mu_.unlock();
-  // Dead-letter rows publish only after this stream's locks are released:
+  // Dead-letter rows publish only after this stream's lock is released:
   // the flush is an ordinary ingest into the dead-letter stream and must
   // start from a clean lock state.
   if (!flush_batch.empty()) FlushQuarantine(std::move(flush_batch));
@@ -374,26 +349,19 @@ Status StreamRuntime::IngestImpl(StreamState* state,
   }
   size_t admit_begin = 0;
   size_t admit_end = rows.size();
-  AdmitBatch(state, rows, &admit_begin, &admit_end, quarantine_flush);
+  AdmitBatch(
+      state, rows.size(),
+      [&rows](size_t i) { return EstimateRowBytes(rows[i]); },
+      quarantine_flush, &admit_begin, &admit_end);
   // Quarantine flushes stay on the row path: they are single-row
   // housekeeping batches and must never recurse into quarantine capture.
-  const bool want_vectorized =
-      vectorize_.load(std::memory_order_relaxed) && !quarantine_flush;
-  if (!workers_.empty()) {
-    if (want_vectorized) {
-      vec_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return IngestParallel(state, rows, system_time, admit_begin, admit_end,
-                          quarantine_flush);
-  }
-  if (want_vectorized) {
+  if (vectorize_.load(std::memory_order_relaxed) && !quarantine_flush) {
     if (CanVectorize(*state)) {
       return IngestRowsVectorized(state, rows, system_time, admit_begin,
                                   admit_end);
     }
     vec_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
-  const size_t arity = info->schema.num_columns();
   std::vector<WindowBatch> closed;
   // Rows as actually admitted (CQTIME SYSTEM stamps the timestamp column);
   // channels and client subscriptions see these, not the raw input.
@@ -401,42 +369,8 @@ Status StreamRuntime::IngestImpl(StreamState* state,
   admitted.reserve(admit_end - admit_begin);
   for (size_t i = admit_begin; i < admit_end; ++i) {
     const Row& row = rows[i];
-    if (row.size() != arity) {
-      QuarantineRow(state, "arity",
-                    "row arity " + std::to_string(row.size()) +
-                        " does not match stream '" + info->name + "' (" +
-                        std::to_string(arity) + " columns)",
-                    row, quarantine_flush);
-      continue;
-    }
     int64_t ts;
-    if (info->cqtime_system) {
-      ts = system_time;
-    } else {
-      const Value& tv = row[info->cqtime_column];
-      if (tv.is_null()) {
-        QuarantineRow(state, "null_cqtime", "NULL CQTIME value", row,
-                      quarantine_flush);
-        continue;
-      }
-      if (tv.type() == DataType::kTimestamp) {
-        ts = tv.AsTimestampMicros();
-      } else if (tv.type() == DataType::kInt64) {
-        ts = tv.AsInt64();
-      } else {
-        QuarantineRow(state, "bad_cqtime_type",
-                      std::string("CQTIME column must be a timestamp, got ") +
-                          DataTypeToString(tv.type()),
-                      row, quarantine_flush);
-        continue;
-      }
-    }
-    const int64_t wm = state->watermark.load(std::memory_order_relaxed);
-    if (wm != INT64_MIN && ts < wm) {
-      QuarantineRow(state, "late",
-                    "ts " + std::to_string(ts) +
-                        " is behind stream watermark " + std::to_string(wm),
-                    row, quarantine_flush);
+    if (!ValidateRow(state, row, system_time, quarantine_flush, &ts)) {
       continue;
     }
     Row stamped = row;
@@ -444,9 +378,8 @@ Status StreamRuntime::IngestImpl(StreamState* state,
       stamped[info->cqtime_column] = Value::Timestamp(ts);
     }
 
-    const int64_t seq = state->ingest_seq++;
     for (SliceAggregator* agg : registry_.ForStream(info->name)) {
-      RETURN_IF_ERROR(agg->AddRow(ts, stamped, seq));
+      RETURN_IF_ERROR(agg->AddRow(ts, stamped));
     }
     for (Subscription& sub : state->subs) {
       if (sub.feed_rows) {
@@ -490,212 +423,6 @@ Status StreamRuntime::IngestImpl(StreamState* state,
   return Status::OK();
 }
 
-Status StreamRuntime::IngestParallel(StreamState* state,
-                                     const std::vector<Row>& rows,
-                                     int64_t system_time, size_t admit_begin,
-                                     size_t admit_end,
-                                     bool quarantine_flush) {
-  catalog::StreamInfo* info = state->info;
-  const size_t arity = info->schema.num_columns();
-  // Resolved on the coordinator and re-resolved after every window close:
-  // a delivery callback may re-enter the engine and create a CQ on this
-  // stream, growing (and reallocating) the registry's pipeline vector.
-  // Workers are always drained before callbacks run, so nothing holds the
-  // old pointer when that happens.
-  const std::vector<SliceAggregator*>* pipelines =
-      &registry_.ForStream(info->name);
-  // Partitioning key: the first grouped pipeline's GROUP BY expressions.
-  // Rows of one group always land on the same worker, so that pipeline's
-  // per-group slice states are built in exact arrival order (bit-identical
-  // to serial execution, even for floating-point states). Pipelines keyed
-  // differently may see a group's rows split across workers; their
-  // partials are still merged exactly at window close (AggState::Merge).
-  // With no grouped pipeline (scalar aggregates only) rows round-robin.
-  const std::vector<exec::BoundExprPtr>* routing = nullptr;
-  auto pick_routing = [&]() {
-    routing = nullptr;
-    for (SliceAggregator* p : *pipelines) {
-      if (!p->group_exprs().empty()) {
-        routing = &p->group_exprs();
-        break;
-      }
-    }
-  };
-  pick_routing();
-  const size_t nworkers = workers_.size();
-  std::vector<std::vector<ShardRow>> pending(nworkers);
-
-  // Queued chunks are charged to the governor (kShardQueue) at enqueue;
-  // the worker releases the charge once the chunk is absorbed.
-  auto charge_chunk = [&](const std::vector<ShardRow>& chunk_rows) {
-    int64_t bytes = 0;
-    for (const ShardRow& sr : chunk_rows) bytes += EstimateRowBytes(sr.row);
-    governor_.Add(MemoryGovernor::Account::kShardQueue, bytes);
-    return bytes;
-  };
-  auto flush = [&]() -> Status {
-    for (size_t w = 0; w < nworkers; ++w) {
-      if (pending[w].empty()) continue;
-      RETURN_IF_ERROR(FaultInjector::Instance().Hit("shard.enqueue"));
-      int64_t bytes = charge_chunk(pending[w]);
-      workers_[w]->Push(
-          ShardChunk{pipelines, std::move(pending[w]), &governor_, bytes});
-      pending[w].clear();
-    }
-    return Status::OK();
-  };
-  // Drains every worker and surfaces the first shard-side error. Run
-  // before evaluating window closes (merges must see complete partials)
-  // and before returning (callers may inspect state right after Ingest).
-  auto barrier = [&]() -> Status {
-    RETURN_IF_ERROR(flush());
-    for (auto& w : workers_) w->WaitIdle();
-    for (auto& w : workers_) RETURN_IF_ERROR(w->TakeError());
-    return Status::OK();
-  };
-  // On a validation error mid-batch, rows before the bad one must still be
-  // absorbed (the serial path processes row by row), so drain first.
-  auto fail = [&](Status status) -> Status {
-    Status drained = barrier();
-    return status.ok() ? drained : status;
-  };
-
-  std::vector<WindowBatch> closed;
-  std::vector<Row> admitted;
-  admitted.reserve(admit_end - admit_begin);
-  for (size_t i = admit_begin; i < admit_end; ++i) {
-    const Row& row = rows[i];
-    // Row-level validation runs on the coordinator with exactly the serial
-    // path's checks, so quarantine decisions are identical at every
-    // parallelism level.
-    if (row.size() != arity) {
-      QuarantineRow(state, "arity",
-                    "row arity " + std::to_string(row.size()) +
-                        " does not match stream '" + info->name + "' (" +
-                        std::to_string(arity) + " columns)",
-                    row, quarantine_flush);
-      continue;
-    }
-    int64_t ts;
-    if (info->cqtime_system) {
-      ts = system_time;
-    } else {
-      const Value& tv = row[info->cqtime_column];
-      if (tv.is_null()) {
-        QuarantineRow(state, "null_cqtime", "NULL CQTIME value", row,
-                      quarantine_flush);
-        continue;
-      }
-      if (tv.type() == DataType::kTimestamp) {
-        ts = tv.AsTimestampMicros();
-      } else if (tv.type() == DataType::kInt64) {
-        ts = tv.AsInt64();
-      } else {
-        QuarantineRow(state, "bad_cqtime_type",
-                      std::string("CQTIME column must be a timestamp, got ") +
-                          DataTypeToString(tv.type()),
-                      row, quarantine_flush);
-        continue;
-      }
-    }
-    const int64_t wm = state->watermark.load(std::memory_order_relaxed);
-    if (wm != INT64_MIN && ts < wm) {
-      QuarantineRow(state, "late",
-                    "ts " + std::to_string(ts) +
-                        " is behind stream watermark " + std::to_string(wm),
-                    row, quarantine_flush);
-      continue;
-    }
-    Row stamped = row;
-    if (info->cqtime_system) {
-      stamped[info->cqtime_column] = Value::Timestamp(ts);
-    }
-
-    const int64_t seq = state->ingest_seq++;
-    if (!pipelines->empty()) {
-      size_t target = static_cast<size_t>(seq) % nworkers;
-      if (routing != nullptr) {
-        exec::EvalContext ctx;
-        std::vector<Value> keys;
-        keys.reserve(routing->size());
-        bool keyed = true;
-        for (const auto& g : *routing) {
-          Result<Value> v = g->Eval(stamped, ctx);
-          if (!v.ok()) {
-            // Routing is best-effort: if the key errors, any worker will
-            // reproduce the real evaluation error (or the row is filtered
-            // out and the error never existed serially either).
-            keyed = false;
-            break;
-          }
-          keys.push_back(v.TakeValue());
-        }
-        if (keyed) target = exec::HashValues(keys) % nworkers;
-      }
-      pending[target].push_back(ShardRow{ts, seq, stamped});
-      if (pending[target].size() >= kShardChunkRows) {
-        Status st = FaultInjector::Instance().Hit("shard.enqueue");
-        if (!st.ok()) return fail(std::move(st));
-        int64_t bytes = charge_chunk(pending[target]);
-        workers_[target]->Push(ShardChunk{pipelines,
-                                          std::move(pending[target]),
-                                          &governor_, bytes});
-        pending[target].clear();
-      }
-    }
-
-    for (Subscription& sub : state->subs) {
-      Status status;
-      if (sub.feed_rows) {
-        status = sub.window_op->AddRow(ts, stamped, &closed);
-      } else {
-        sub.window_op->StartAt(ts);
-        status = sub.window_op->AdvanceTime(ts, &closed);
-      }
-      if (!status.ok()) return fail(std::move(status));
-      if (!closed.empty()) {
-        // Merge-at-window-close: every row of this batch so far is in its
-        // shard before any close is evaluated. Later rows in the batch
-        // cannot contaminate the merge — their timestamps are at or past
-        // the close, outside every closing window's slices.
-        RETURN_IF_ERROR(barrier());
-        RETURN_IF_ERROR(ProcessClosed(&sub, &closed));
-        pipelines = &registry_.ForStream(info->name);
-        pick_routing();
-      }
-    }
-    state->watermark.store(ts, std::memory_order_relaxed);
-    rows_ingested_.fetch_add(1, std::memory_order_relaxed);
-    state->overload.rows_admitted.fetch_add(1, std::memory_order_relaxed);
-    admitted.push_back(std::move(stamped));
-  }
-  RETURN_IF_ERROR(barrier());
-  const int64_t final_wm = state->watermark.load(std::memory_order_relaxed);
-  if (metrics_.enabled() && !admitted.empty()) {
-    const int64_t n = static_cast<int64_t>(admitted.size());
-    state->rows_ingested_metric->Add(n);
-    engine_rows_metric_->Add(n);
-    state->watermark_metric->Set(final_wm);
-  }
-  UpdateShardMetrics();
-
-  // Evict slices no live window can reference (workers are idle: eviction
-  // walks shard state from the coordinator).
-  for (SliceAggregator* agg : registry_.ForStream(info->name)) {
-    agg->EvictBefore(final_wm - agg->max_visible());
-  }
-  for (Channel* channel : state->channels) {
-    RETURN_IF_ERROR(WithSinkRetry(
-        [&] { return channel->OnRawRows(final_wm, admitted); }));
-  }
-  // Index loop: a delivery callback may re-enter the engine and mutate
-  // the subscription list.
-  for (size_t i = 0; i < state->client_subs.size(); ++i) {
-    RETURN_IF_ERROR(state->client_subs[i].callback(final_wm, admitted));
-  }
-  return Status::OK();
-}
-
 bool StreamRuntime::CanVectorize(const StreamState& state) const {
   for (const Subscription& sub : state.subs) {
     // Row-buffering subscribers (generic CQs, row/slice windows) need every
@@ -714,52 +441,15 @@ Status StreamRuntime::IngestRowsVectorized(StreamState* state,
                                            int64_t system_time, size_t begin,
                                            size_t end) {
   catalog::StreamInfo* info = state->info;
-  const size_t arity = info->schema.num_columns();
-  exec::ColumnBatch batch(arity);
+  exec::ColumnBatch batch(info->schema.num_columns());
   batch.Reserve(end - begin);
   std::vector<int64_t> ts;
   ts.reserve(end - begin);
-  const int64_t seq_base = state->ingest_seq;
   for (size_t i = begin; i < end; ++i) {
     const Row& row = rows[i];
-    // Validation order, checks, and messages are byte-for-byte the row
-    // path's, so quarantine output is identical in both modes.
-    if (row.size() != arity) {
-      QuarantineRow(state, "arity",
-                    "row arity " + std::to_string(row.size()) +
-                        " does not match stream '" + info->name + "' (" +
-                        std::to_string(arity) + " columns)",
-                    row, /*quarantine_flush=*/false);
-      continue;
-    }
     int64_t t;
-    if (info->cqtime_system) {
-      t = system_time;
-    } else {
-      const Value& tv = row[info->cqtime_column];
-      if (tv.is_null()) {
-        QuarantineRow(state, "null_cqtime", "NULL CQTIME value", row,
-                      /*quarantine_flush=*/false);
-        continue;
-      }
-      if (tv.type() == DataType::kTimestamp) {
-        t = tv.AsTimestampMicros();
-      } else if (tv.type() == DataType::kInt64) {
-        t = tv.AsInt64();
-      } else {
-        QuarantineRow(state, "bad_cqtime_type",
-                      std::string("CQTIME column must be a timestamp, got ") +
-                          DataTypeToString(tv.type()),
-                      row, /*quarantine_flush=*/false);
-        continue;
-      }
-    }
-    const int64_t wm = state->watermark.load(std::memory_order_relaxed);
-    if (wm != INT64_MIN && t < wm) {
-      QuarantineRow(state, "late",
-                    "ts " + std::to_string(t) +
-                        " is behind stream watermark " + std::to_string(wm),
-                    row, /*quarantine_flush=*/false);
+    if (!ValidateRow(state, row, system_time, /*quarantine_flush=*/false,
+                     &t)) {
       continue;
     }
     batch.AppendRow(row);
@@ -769,7 +459,6 @@ Status StreamRuntime::IngestRowsVectorized(StreamState* state,
                            t);
     }
     ts.push_back(t);
-    ++state->ingest_seq;
     // The row path advances the watermark per admitted row; the quarantine
     // qtime and late checks for the rest of this batch read it.
     state->watermark.store(t, std::memory_order_relaxed);
@@ -778,7 +467,7 @@ Status StreamRuntime::IngestRowsVectorized(StreamState* state,
   for (size_t i = 0; i < sel.size(); ++i) {
     sel[i] = static_cast<exec::RowIndex>(i);
   }
-  return VectorizedDispatch(state, batch, sel, ts, seq_base);
+  return VectorizedDispatch(state, batch, sel, ts);
 }
 
 Status StreamRuntime::IngestColumnarImpl(StreamState* state,
@@ -797,8 +486,7 @@ Status StreamRuntime::IngestColumnarImpl(StreamState* state,
   // When the vectorized path cannot run, materialize once and take the
   // row-at-a-time oracle (an arity-mismatched batch then quarantines each
   // row exactly as the row path would).
-  if (!vectorize_.load(std::memory_order_relaxed) || !workers_.empty() ||
-      !CanVectorize(*state) ||
+  if (!vectorize_.load(std::memory_order_relaxed) || !CanVectorize(*state) ||
       batch.num_columns() != info->schema.num_columns()) {
     if (vectorize_.load(std::memory_order_relaxed)) {
       vec_fallbacks_.fetch_add(1, std::memory_order_relaxed);
@@ -807,60 +495,53 @@ Status StreamRuntime::IngestColumnarImpl(StreamState* state,
                       /*quarantine_flush=*/false);
   }
 
+  // row_bytes(i) equals EstimateRowBytes of the materialized row by
+  // construction, so admission decides exactly as it would for the rows.
   size_t admit_begin = 0;
   size_t admit_end = batch.row_count();
-  AdmitBatchColumnar(state, batch, &admit_begin, &admit_end);
+  AdmitBatch(
+      state, batch.row_count(),
+      [&batch](size_t i) {
+        return batch.row_bytes(static_cast<exec::RowIndex>(i));
+      },
+      /*quarantine_flush=*/false, &admit_begin, &admit_end);
 
   const size_t n_rows = admit_end - admit_begin;
   exec::SelectionVector sel(n_rows);
   std::vector<int64_t> ts(n_rows);
   size_t out = 0;
-  const int64_t seq_base = state->ingest_seq;
-  Row scratch;  // materialized only for quarantined rows
+  Row scratch;  // materialized only for rows the fast check cannot pass
   const size_t tcol = info->cqtime_column;
   // When the CQTIME column is uniformly typed (the wire decode's common
-  // shape), the per-row NULL/tag validation collapses to a payload load.
+  // shape), the per-row NULL/tag check collapses to a payload load.
   const DataType ucq =
       info->cqtime_system ? DataType::kNull : batch.uniform_tag(tcol);
   const bool uniform_cq =
       ucq == DataType::kTimestamp || ucq == DataType::kInt64;
   // `wm` mirrors state->watermark; the atomic is still stored per admitted
-  // row so QuarantineRow (which reads it for the dead-letter qtime) sees
-  // exactly what the row-at-a-time oracle would have published.
+  // row so ValidateRow and QuarantineRow see exactly what the row path
+  // would have published.
   int64_t wm = state->watermark.load(std::memory_order_relaxed);
   for (size_t i = admit_begin; i < admit_end; ++i) {
     const exec::RowIndex row = static_cast<exec::RowIndex>(i);
-    int64_t t;
-    if (info->cqtime_system) {
-      t = system_time;
-    } else if (uniform_cq) {
+    // Fast check on the cells; a row it cannot pass is materialized and
+    // handed to ValidateRow, which alone decides and quarantines.
+    int64_t t = system_time;
+    bool clean = true;
+    if (uniform_cq) {
       t = batch.fixed(tcol, row);
-    } else {
-      if (batch.is_null(tcol, row)) {
-        batch.MaterializeRow(row, &scratch);
-        QuarantineRow(state, "null_cqtime", "NULL CQTIME value", scratch,
-                      /*quarantine_flush=*/false);
-        continue;
-      }
+    } else if (!info->cqtime_system) {
       const DataType tt = batch.tag(tcol, row);
-      if (tt == DataType::kTimestamp || tt == DataType::kInt64) {
-        t = batch.fixed(tcol, row);
-      } else {
-        batch.MaterializeRow(row, &scratch);
-        QuarantineRow(state, "bad_cqtime_type",
-                      std::string("CQTIME column must be a timestamp, got ") +
-                          DataTypeToString(tt),
-                      scratch, /*quarantine_flush=*/false);
+      clean = !batch.is_null(tcol, row) &&
+              (tt == DataType::kTimestamp || tt == DataType::kInt64);
+      if (clean) t = batch.fixed(tcol, row);
+    }
+    if (!clean || (wm != INT64_MIN && t < wm)) {
+      batch.MaterializeRow(row, &scratch);
+      if (!ValidateRow(state, scratch, system_time,
+                       /*quarantine_flush=*/false, &t)) {
         continue;
       }
-    }
-    if (wm != INT64_MIN && t < wm) {
-      batch.MaterializeRow(row, &scratch);
-      QuarantineRow(state, "late",
-                    "ts " + std::to_string(t) +
-                        " is behind stream watermark " + std::to_string(wm),
-                    scratch, /*quarantine_flush=*/false);
-      continue;
     }
     if (info->cqtime_system) {
       batch.StampTimestamp(tcol, row, t);
@@ -873,15 +554,13 @@ Status StreamRuntime::IngestColumnarImpl(StreamState* state,
   }
   sel.resize(out);
   ts.resize(out);
-  state->ingest_seq = seq_base + static_cast<int64_t>(out);
-  return VectorizedDispatch(state, batch, sel, ts, seq_base);
+  return VectorizedDispatch(state, batch, sel, ts);
 }
 
 Status StreamRuntime::VectorizedDispatch(StreamState* state,
                                          const exec::ColumnBatch& batch,
                                          const exec::SelectionVector& sel,
-                                         const std::vector<int64_t>& ts,
-                                         int64_t seq_base) {
+                                         const std::vector<int64_t>& ts) {
   catalog::StreamInfo* info = state->info;
   // The in-flight columnar payload is charged as one batch, not per row;
   // released when the batch has been fully dispatched (the slices and
@@ -946,8 +625,7 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
       p = first < n - 1 ? first : n - 1;
     }
     for (SliceAggregator* agg : *pipelines) {
-      RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, seq_base, absorbed,
-                                    p + 1));
+      RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, p + 1));
     }
     absorbed = p + 1;
     for (Subscription& sub : state->subs) {
@@ -960,7 +638,7 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
     ++p;
   }
   for (SliceAggregator* agg : *pipelines) {
-    RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, seq_base, absorbed, n));
+    RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, n));
   }
 
   const int64_t final_wm = state->watermark.load(std::memory_order_relaxed);
@@ -1004,63 +682,6 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
   return Status::OK();
 }
 
-Status StreamRuntime::SetParallelism(int n) {
-  if (n < 1 || n > kMaxParallelism) {
-    return Status::InvalidArgument(
-        "PARALLELISM must be between 1 and " +
-        std::to_string(kMaxParallelism));
-  }
-  if (n == parallelism_.load(std::memory_order_relaxed)) return Status::OK();
-  // The caller holds the engine lock exclusive, so no ingest is in flight
-  // and the workers are idle; re-shard every pipeline (folding any
-  // existing shard state back into the parents) before changing the
-  // worker fleet.
-  const size_t shard_count = n > 1 ? static_cast<size_t>(n) : 0;
-  for (SliceAggregator* agg : registry_.MutablePipelines()) {
-    RETURN_IF_ERROR(agg->SetShardCount(shard_count));
-  }
-  workers_.clear();
-  for (size_t i = 0; i < shard_cells_.size(); ++i) {
-    metrics_.RemoveObject("shard", "worker" + std::to_string(i));
-  }
-  shard_cells_.clear();
-  parallelism_.store(n, std::memory_order_relaxed);
-  for (size_t i = 0; i < shard_count; ++i) {
-    workers_.emplace_back(
-        std::make_unique<ShardWorker>(i, kShardQueueCapacity));
-    const std::string name = "worker" + std::to_string(i);
-    ShardMetricCells cells;
-    cells.rows = metrics_.GetCounter("shard", name, "rows_absorbed");
-    cells.chunks = metrics_.GetCounter("shard", name, "chunks");
-    cells.backpressure_waits =
-        metrics_.GetCounter("shard", name, "backpressure_waits");
-    cells.queue_high_water =
-        metrics_.GetGauge("shard", name, "queue_high_water");
-    shard_cells_.push_back(cells);
-  }
-  metrics_.GetGauge("engine", "runtime", "parallelism")->Set(n);
-  return Status::OK();
-}
-
-void StreamRuntime::UpdateShardMetrics() {
-  if (!metrics_.enabled()) return;
-  // Leaf mutex: the delta fold runs from ingest barriers (shard lock held)
-  // and from gauge refreshes (no shard lock), possibly concurrently.
-  std::lock_guard<std::mutex> lock(shard_metrics_mu_);
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    ShardMetricCells& cells = shard_cells_[i];
-    const ShardWorker& w = *workers_[i];
-    cells.rows->Add(w.rows_processed() - cells.last_rows);
-    cells.last_rows = w.rows_processed();
-    cells.chunks->Add(w.chunks_processed() - cells.last_chunks);
-    cells.last_chunks = w.chunks_processed();
-    cells.backpressure_waits->Add(w.backpressure_waits() -
-                                  cells.last_backpressure);
-    cells.last_backpressure = w.backpressure_waits();
-    cells.queue_high_water->Set(w.max_queue_depth());
-  }
-}
-
 Status StreamRuntime::AdvanceTime(const std::string& stream,
                                   int64_t watermark) {
   StreamState* state = GetState(stream);
@@ -1068,11 +689,6 @@ Status StreamRuntime::AdvanceTime(const std::string& stream,
     RETURN_IF_ERROR(RegisterStream(stream));
     state = GetState(stream);
   }
-  // Same lock order as IngestEntry: eviction below walks shard replica
-  // state, so the fleet must be quiesced (holding the shard lock implies
-  // idle workers) before the stream lock is taken.
-  const bool take_shard = !workers_.empty() && !shard_mu_.held_by_me();
-  if (take_shard) shard_mu_.lock();
   Status status = Status::OK();
   {
     std::lock_guard<OrderedMutex> stream_lock(state->mu);
@@ -1095,7 +711,6 @@ Status StreamRuntime::AdvanceTime(const std::string& stream,
       }
     }
   }
-  if (take_shard) shard_mu_.unlock();
   return status;
 }
 
@@ -1282,34 +897,95 @@ Status StreamRuntime::EnsureQuarantineStream(const std::string& stream) {
   return RegisterStream(qname);
 }
 
-void StreamRuntime::AdmitBatch(StreamState* state,
-                               const std::vector<Row>& rows, size_t* begin,
-                               size_t* end, bool quarantine_flush) {
+bool StreamRuntime::ValidateRow(StreamState* state, const Row& row,
+                                int64_t system_time, bool quarantine_flush,
+                                int64_t* ts) {
+  const catalog::StreamInfo* info = state->info;
+  const size_t arity = info->schema.num_columns();
+  if (row.size() != arity) {
+    QuarantineRow(state, "arity",
+                  "row arity " + std::to_string(row.size()) +
+                      " does not match stream '" + info->name + "' (" +
+                      std::to_string(arity) + " columns)",
+                  row, quarantine_flush);
+    return false;
+  }
+  if (info->cqtime_system) {
+    *ts = system_time;
+  } else {
+    const Value& tv = row[info->cqtime_column];
+    if (tv.is_null()) {
+      QuarantineRow(state, "null_cqtime", "NULL CQTIME value", row,
+                    quarantine_flush);
+      return false;
+    }
+    if (tv.type() == DataType::kTimestamp) {
+      *ts = tv.AsTimestampMicros();
+    } else if (tv.type() == DataType::kInt64) {
+      *ts = tv.AsInt64();
+    } else {
+      QuarantineRow(state, "bad_cqtime_type",
+                    std::string("CQTIME column must be a timestamp, got ") +
+                        DataTypeToString(tv.type()),
+                    row, quarantine_flush);
+      return false;
+    }
+  }
+  const int64_t wm = state->watermark.load(std::memory_order_relaxed);
+  if (wm != INT64_MIN && *ts < wm) {
+    QuarantineRow(state, "late",
+                  "ts " + std::to_string(*ts) +
+                      " is behind stream watermark " + std::to_string(wm),
+                  row, quarantine_flush);
+    return false;
+  }
+  return true;
+}
+
+void StreamRuntime::AdmitBatch(
+    StreamState* state, size_t n,
+    const std::function<int64_t(size_t)>& row_bytes, bool quarantine_flush,
+    size_t* begin, size_t* end) {
   *begin = 0;
-  *end = rows.size();
+  *end = n;
   // Dead-letter capture must not itself be refused: quarantine flushes
   // bypass admission (their buffered footprint is still accounted).
-  if (rows.empty() || quarantine_flush || governor_.budget() == 0) {
-    return;
-  }
-  std::vector<int64_t> bytes(rows.size());
+  if (n == 0 || quarantine_flush || governor_.budget() == 0) return;
+  std::vector<int64_t> bytes(n);
   int64_t total = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    bytes[i] = EstimateRowBytes(rows[i]);
+  for (size_t i = 0; i < n; ++i) {
+    bytes[i] = row_bytes(i);
     total += bytes[i];
   }
   const int64_t headroom = governor_.headroom();
   if (total <= headroom) return;
   switch (state->policy) {
-    case OverloadPolicy::kBlock:
-      BlockForHeadroom(state, total);
+    case OverloadPolicy::kBlock: {
+      // Backpressure: wait out the bounded budget for headroom. BLOCK is
+      // lossless — after the timeout the batch is admitted regardless,
+      // trading latency (counted), never rows.
+      const auto start = std::chrono::steady_clock::now();
+      constexpr int64_t kPollMicros = 200;
+      const int64_t timeout =
+          block_timeout_micros_.load(std::memory_order_relaxed);
+      auto waited = [&start] {
+        return std::chrono::duration_cast<std::chrono::microseconds>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+      };
+      while (governor_.headroom() < total && waited() < timeout) {
+        std::this_thread::sleep_for(std::chrono::microseconds(kPollMicros));
+      }
+      state->overload.blocked_micros.fetch_add(waited(),
+                                               std::memory_order_relaxed);
       return;
+    }
     case OverloadPolicy::kShedNewest: {
       // Keep the longest prefix that fits: older rows win under a policy
       // that sheds the newest arrivals.
       int64_t acc = 0;
       size_t keep = 0;
-      while (keep < rows.size() && acc + bytes[keep] <= headroom) {
+      while (keep < n && acc + bytes[keep] <= headroom) {
         acc += bytes[keep];
         ++keep;
       }
@@ -1321,94 +997,16 @@ void StreamRuntime::AdmitBatch(StreamState* state,
       // the batch's timestamp order for the admitted remainder.
       int64_t acc = 0;
       size_t keep = 0;
-      while (keep < rows.size() &&
-             acc + bytes[rows.size() - 1 - keep] <= headroom) {
-        acc += bytes[rows.size() - 1 - keep];
-        ++keep;
-      }
-      *begin = rows.size() - keep;
-      break;
-    }
-  }
-  state->overload.rows_shed.fetch_add(
-      static_cast<int64_t>(rows.size() - (*end - *begin)),
-      std::memory_order_relaxed);
-}
-
-void StreamRuntime::BlockForHeadroom(StreamState* state, int64_t total) {
-  // Backpressure: drain in-flight shard chunks (the only charge
-  // another thread can free), then wait out the bounded budget for
-  // headroom. BLOCK is lossless — after the timeout the batch is
-  // admitted regardless, trading latency (counted), never rows.
-  const auto start = std::chrono::steady_clock::now();
-  for (auto& w : workers_) w->WaitIdle();
-  constexpr int64_t kPollMicros = 200;
-  const int64_t timeout =
-      block_timeout_micros_.load(std::memory_order_relaxed);
-  while (governor_.headroom() < total) {
-    const int64_t waited =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    if (waited >= timeout) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(kPollMicros));
-  }
-  state->overload.blocked_micros.fetch_add(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count(),
-      std::memory_order_relaxed);
-}
-
-void StreamRuntime::AdmitBatchColumnar(StreamState* state,
-                                       const exec::ColumnBatch& batch,
-                                       size_t* begin, size_t* end) {
-  *begin = 0;
-  *end = batch.row_count();
-  if (batch.empty() || governor_.budget() == 0) return;
-  // row_bytes(i) equals EstimateRowBytes of the materialized row by
-  // construction, so every policy decision below matches what AdmitBatch
-  // would have decided for the same rows.
-  const int64_t total = batch.total_row_bytes();
-  const int64_t headroom = governor_.headroom();
-  if (total <= headroom) return;
-  const size_t n = batch.row_count();
-  switch (state->policy) {
-    case OverloadPolicy::kBlock:
-      BlockForHeadroom(state, total);
-      return;
-    case OverloadPolicy::kShedNewest: {
-      // Keep the longest prefix that fits: older rows win under a policy
-      // that sheds the newest arrivals.
-      int64_t acc = 0;
-      size_t keep = 0;
-      while (keep < n &&
-             acc + batch.row_bytes(static_cast<exec::RowIndex>(keep)) <=
-                 headroom) {
-        acc += batch.row_bytes(static_cast<exec::RowIndex>(keep));
-        ++keep;
-      }
-      *end = keep;
-      break;
-    }
-    case OverloadPolicy::kShedOldest: {
-      // Keep the longest suffix that fits; shedding the head preserves
-      // the batch's timestamp order for the admitted remainder.
-      int64_t acc = 0;
-      size_t keep = 0;
-      while (keep < n &&
-             acc + batch.row_bytes(
-                       static_cast<exec::RowIndex>(n - 1 - keep)) <=
-                 headroom) {
-        acc += batch.row_bytes(static_cast<exec::RowIndex>(n - 1 - keep));
+      while (keep < n && acc + bytes[n - 1 - keep] <= headroom) {
+        acc += bytes[n - 1 - keep];
         ++keep;
       }
       *begin = n - keep;
       break;
     }
   }
-  state->overload.rows_shed.fetch_add(
-      static_cast<int64_t>(n - (*end - *begin)), std::memory_order_relaxed);
+  state->overload.rows_shed.fetch_add(static_cast<int64_t>(n - (*end - *begin)),
+                                      std::memory_order_relaxed);
 }
 
 void StreamRuntime::QuarantineRow(StreamState* state, const char* reason,
@@ -1526,8 +1124,6 @@ void StreamRuntime::RefreshMetricsGauges() {
       ->Set(static_cast<int64_t>(channels_.size()));
   metrics_.GetGauge("engine", "runtime", "shared_pipelines")
       ->Set(static_cast<int64_t>(registry_.pipeline_count()));
-  metrics_.GetGauge("engine", "runtime", "parallelism")
-      ->Set(parallelism_.load(std::memory_order_relaxed));
   metrics_.GetGauge("engine", "vectorize", "enabled")
       ->Set(vectorize() ? 1 : 0);
   metrics_.GetGauge("engine", "vectorize", "batches")
@@ -1536,7 +1132,6 @@ void StreamRuntime::RefreshMetricsGauges() {
       ->Set(vec_rows_.load(std::memory_order_relaxed));
   metrics_.GetGauge("engine", "vectorize", "fallbacks")
       ->Set(vec_fallbacks_.load(std::memory_order_relaxed));
-  UpdateShardMetrics();
 
   {
     // maps_mu_ is held across the walk so a concurrent lazy registration
@@ -1576,8 +1171,6 @@ void StreamRuntime::RefreshMetricsGauges() {
       ->Set(governor_.held(MemoryGovernor::Account::kWindow));
   metrics_.GetGauge("overload", "governor", "bytes_aggregator")
       ->Set(governor_.held(MemoryGovernor::Account::kAggregator));
-  metrics_.GetGauge("overload", "governor", "bytes_shard_queue")
-      ->Set(governor_.held(MemoryGovernor::Account::kShardQueue));
   metrics_.GetGauge("overload", "governor", "bytes_reorder")
       ->Set(governor_.held(MemoryGovernor::Account::kReorder));
   metrics_.GetGauge("overload", "governor", "bytes_net_send_queue")

@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,6 +144,49 @@ TEST(Protocol, CorruptFramesRejectedWithoutCrashing) {
             DecodeStatus::kCorrupt);
 }
 
+// Hostile bodies: a count field near 2^32 must be bounded by the bytes that
+// follow it, not trusted for an allocation. Each body is ~20 bytes; the
+// decoder returns an error instead of reserving gigabytes.
+std::string U32Bytes(uint32_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+std::string I64Bytes(int64_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+TEST(Protocol, HostileRowCountIsBoundedByBody) {
+  // STREAM_ROWS: source "", close 0, row count 2^32-1, one empty row.
+  const std::string body =
+      U32Bytes(0) + I64Bytes(0) + U32Bytes(0xFFFFFFFFu) + U32Bytes(0);
+  EXPECT_FALSE(DecodeStreamRowsBody(body).ok());
+}
+
+TEST(Protocol, HostileColumnarArityIsBoundedByBody) {
+  // INGEST_BATCH: stream "s", system time 0, one row of 2^32-1 columns.
+  const std::string body = U32Bytes(1) + "s" + I64Bytes(0) + U32Bytes(1) +
+                           U32Bytes(0xFFFFFFFFu);
+  IngestColumnarRequest req;
+  EXPECT_FALSE(DecodeIngestBodyColumnar(body, &req).ok());
+}
+
+TEST(Protocol, HostileColumnarRowCountIsBoundedByBody) {
+  // INGEST_BATCH: stream "", system time 0, 2^32-1 rows, the first a
+  // single NULL cell, then nothing.
+  const std::string body = U32Bytes(0) + I64Bytes(0) +
+                           U32Bytes(0xFFFFFFFFu) + U32Bytes(1) +
+                           std::string(1, static_cast<char>(DataType::kNull));
+  IngestColumnarRequest req;
+  EXPECT_FALSE(DecodeIngestBodyColumnar(body, &req).ok());
+}
+
+TEST(Protocol, HostileRowSetColumnCountIsBoundedByBody) {
+  // ROWSET: message "", 2^32-1 columns, one named "" of type NULL.
+  const std::string body =
+      U32Bytes(0) + U32Bytes(0xFFFFFFFFu) + U32Bytes(0) +
+      std::string(1, static_cast<char>(DataType::kNull)) + U32Bytes(0);
+  EXPECT_FALSE(DecodeRowSetBody(body).ok());
+}
+
 // --- server fixture --------------------------------------------------------
 
 class NetworkTest : public ::testing::Test {
@@ -226,6 +270,39 @@ TEST_F(NetworkTest, QueryIngestSubscribeEndToEnd) {
               RowToString(local.batches[0].rows[i]));
   }
   ASSERT_TRUE(db_.Unsubscribe(*ticket).ok());
+}
+
+// NextPush(0) is a non-blocking poll: a push already sitting unread on the
+// socket must be returned, not reported as a timeout because the deadline
+// had passed before the socket was read.
+TEST_F(NetworkTest, NextPushZeroReturnsAPushAlreadyOnTheSocket) {
+  Client client = MakeClient();
+  CreateAggPipeline(&client);
+  Client subscriber = MakeClient();
+  ASSERT_TRUE(subscriber.Subscribe("agg", kRpcTimeout).ok());
+  ASSERT_TRUE(client
+                  .IngestBatch("s", {{Value::Int64(1), Value::Null()}},
+                               /*system_time=*/10 * kSec, kRpcTimeout)
+                  .ok());
+  // Past the first minute: its window closes and is pushed.
+  ASSERT_TRUE(client
+                  .IngestBatch("s", {{Value::Int64(2), Value::Null()}},
+                               /*system_time=*/70 * kSec, kRpcTimeout)
+                  .ok());
+
+  Result<Push> push = subscriber.NextPush(0);
+  for (int i = 0; i < 2000 && !push.ok(); ++i) {
+    ASSERT_EQ(push.status().code(), StatusCode::kUnavailable)
+        << push.status().ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    push = subscriber.NextPush(0);
+  }
+  ASSERT_TRUE(push.ok()) << "NextPush(0) never returned the pushed window: "
+                         << push.status().ToString();
+  EXPECT_EQ(push->source, "agg");
+  EXPECT_EQ(push->close, 60 * kSec);
+  ASSERT_EQ(push->rows.size(), 1u);
+  EXPECT_EQ(push->rows[0][0].AsInt64(), 1);  // count(*) of the first minute
 }
 
 TEST_F(NetworkTest, SubscribeViaSqlAndUnsubscribe) {

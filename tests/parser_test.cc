@@ -355,6 +355,14 @@ TEST(ParserTest, SetOverloadForms) {
   EXPECT_FALSE(ParseSingleStatement("SET RETRY SPEED 9").ok());
 }
 
+TEST(ParserTest, SetParallelismIsAnUnknownOption) {
+  auto result = ParseSingleStatement("SET PARALLELISM 2");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("unknown SET option"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(ParserTest, DottedObjectNames) {
   {
     auto stmt = Parse("SELECT reason FROM trades.__quarantine");

@@ -78,6 +78,16 @@ TEST(RowTest, SerializeRoundTrip) {
   EXPECT_EQ(offset, buf.size());
 }
 
+TEST(RowTest, HostileArityIsBoundedByData) {
+  // A 2^32-1 value count followed by 16 bytes: the count must not size an
+  // allocation; decoding fails when the bytes run out.
+  uint32_t n = 0xFFFFFFFFu;
+  std::string buf(reinterpret_cast<const char*>(&n), sizeof(n));
+  buf += std::string(16, static_cast<char>(DataType::kNull));
+  size_t offset = 0;
+  EXPECT_FALSE(DeserializeRow(buf, &offset).ok());
+}
+
 TEST(RowTest, SerializeManyRowsSequentially) {
   std::string buf;
   for (int i = 0; i < 10; ++i) {
